@@ -48,6 +48,7 @@ import repro
 from repro.baselines import PPTPlanner, RPPlanner
 from repro.controlplane import StormConfig, run_storm
 from repro.core import BandwidthSnapshot, PivotRepairPlanner
+from repro.core.plan import pin_planning
 from repro.core.scheduler import SchedulerConfig
 from repro.ec import RSCode, place_stripes
 from repro.exceptions import ReproError
@@ -1046,25 +1047,6 @@ def _cmd_experiment(args, tracer=NULL_TRACER) -> dict:
 # ----------------------------------------------------------------------
 # Diagnosis (explain / report)
 # ----------------------------------------------------------------------
-def _pin_planning(planner, seconds: float):
-    """Charge a fixed planning cost instead of measured wall time.
-
-    Wall-clock planning durations advance the simulated clock and differ
-    between runs of the same seed; pinning them keeps ``repro explain``
-    and ``repro report`` output bit-reproducible.
-    """
-    inner = planner.plan
-
-    def plan(*args, **kwargs):
-        result = inner(*args, **kwargs)
-        result.planning_seconds = seconds
-        result.extrapolated_seconds = None
-        return result
-
-    planner.plan = plan
-    return planner
-
-
 def _explain_run(args, tracer) -> tuple:
     """(diagnosis, samples, meta) for ``explain``/``report``, either mode."""
     if args.target.suffix == ".jsonl":
@@ -1114,7 +1096,7 @@ def _explain_run(args, tracer) -> tuple:
         )
         foreground = ForegroundEngine(
             stripes, requests,
-            _pin_planning(make_planner(), args.planning_seconds),
+            pin_planning(make_planner(), args.planning_seconds),
             failed_nodes={failed}, faults=faults,
         )
     else:
@@ -1127,7 +1109,7 @@ def _explain_run(args, tracer) -> tuple:
         }[args.governor]
         governor = make_governor(args.governor, **governor_kwargs)
     result = repair_full_node(
-        _pin_planning(make_planner(), args.planning_seconds),
+        pin_planning(make_planner(), args.planning_seconds),
         network, stripes, failed,
         concurrency=args.concurrency, config=config, tracer=tracer,
         faults=faults, retry_policy=policy,
@@ -1289,7 +1271,7 @@ def _cmd_top(args, tracer=NULL_TRACER) -> dict:
         )
         foreground = ForegroundEngine(
             stripes, requests,
-            _pin_planning(make_planner(), args.planning_seconds),
+            pin_planning(make_planner(), args.planning_seconds),
             failed_nodes={failed}, faults=faults, tsdb=tsdb,
         )
     else:
@@ -1327,7 +1309,7 @@ def _cmd_top(args, tracer=NULL_TRACER) -> dict:
         live = LiveTop(dashboard, sys.stdout, refresh=args.refresh)
         sampler.add_listener(live.on_tick)
     result = repair_full_node(
-        _pin_planning(make_planner(), args.planning_seconds),
+        pin_planning(make_planner(), args.planning_seconds),
         network, stripes, failed,
         concurrency=args.concurrency, config=config, tracer=tracer,
         faults=faults, retry_policy=policy,

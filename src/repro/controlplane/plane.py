@@ -474,15 +474,7 @@ class ControlPlane:
                 streams, inflight, self._plan_bytes(job, stripe, plan),
             ):
                 return
-            planning_span = job.master.book.begin_planning(
-                stripe.stripe_id, self.sim.now
-            )
-            self._routed_advance(
-                self.sim.now + plan.effective_planning_seconds
-            )
-            job.master.book.end_planning(
-                planning_span, stripe.stripe_id, self.sim.now
-            )
+            planning_span = job.master.charge_planning(stripe, plan)
             # The detection window may have killed or finished things;
             # re-check the stripe is still this master's to start.
             if stripe not in job.master.pending:

@@ -24,7 +24,7 @@ from repro.faults.policy import RetryPolicy
 from repro.network.topology import StarNetwork
 from repro.obs.tracer import NULL_TRACER
 from repro.repair.executor import repair_single_chunk_faulted
-from repro.repair.fullnode import choose_requestor
+from repro.repair.jobmaster import choose_requestor
 from repro.repair.metrics import RepairFailed, RepairResult
 from repro.repair.pipeline import ExecutionConfig
 

@@ -478,29 +478,35 @@ def _sink_of(flow: _Flow) -> int | None:
     return min(sinks) if sinks else None
 
 
-def _rate_profile(flow: _Flow) -> list[tuple[float, float, float]]:
-    """Piecewise-constant (start, end, rate) intervals covering the flow."""
-    finish = flow.finish if flow.finish is not None else flow.submit
-    if finish <= flow.submit:
+def _rate_profile(
+    start: float, end: float, rates
+) -> list[tuple[float, float, float]]:
+    """Piecewise-constant (start, end, rate) intervals covering a flow.
+
+    ``rates`` are the flow's ``(t, rate)`` changes; shared with
+    :mod:`repro.obs.critpath`, which reads a flow's start and end off
+    its span instead of a :class:`_Flow`.
+    """
+    if end <= start:
         return []
     # Stable, time-only sort: several changes can land at the same
     # instant (resubmission churn) and the last one is the rate that
     # actually held.
-    changes = sorted(flow.rates, key=lambda change: change[0])
+    changes = sorted(rates, key=lambda change: change[0])
     intervals = []
-    cursor = flow.submit
+    cursor = start
     current = 0.0
-    if changes and changes[0][0] <= flow.submit + 1e-12:
+    if changes and changes[0][0] <= start + 1e-12:
         current = changes[0][1]
         changes = changes[1:]
     for t, rate in changes:
-        t = min(max(t, flow.submit), finish)
+        t = min(max(t, start), end)
         if t > cursor:
             intervals.append((cursor, t, current))
             cursor = t
         current = rate
-    if finish > cursor:
-        intervals.append((cursor, finish, current))
+    if end > cursor:
+        intervals.append((cursor, end, current))
     return intervals
 
 
@@ -670,7 +676,9 @@ def _diagnose_flow(
         )
         carried = 0.0
         contention = governor = stall = credit = hedge = 0.0
-        for start, end, rate in _rate_profile(flow):
+        finish = flow.finish if flow.finish is not None else flow.submit
+        for start, end, rate in _rate_profile(flow.submit, finish,
+                                              flow.rates):
             for s, e in _split_at(start, end, (since, launch)):
                 dt = e - s
                 if dt <= 0:

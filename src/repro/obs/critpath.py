@@ -53,6 +53,8 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
+from repro.obs.analysis import _cap_at, _rate_profile
+
 __all__ = [
     "Span",
     "PathSegment",
@@ -360,39 +362,6 @@ def unclosed_spans(events: Sequence) -> list:
     return list(opened.values())
 
 
-def _rate_profile(
-    flow: Span, rates: list[tuple[float, float]]
-) -> list[tuple[float, float, float]]:
-    """Piecewise-constant (start, end, rate) intervals covering ``flow``."""
-    if flow.end <= flow.start:
-        return []
-    changes = sorted(rates, key=lambda change: change[0])
-    intervals = []
-    cursor = flow.start
-    current = 0.0
-    if changes and changes[0][0] <= flow.start + 1e-12:
-        current = changes[0][1]
-        changes = changes[1:]
-    for t, rate in changes:
-        t = min(max(t, flow.start), flow.end)
-        if t > cursor:
-            intervals.append((cursor, t, current))
-            cursor = t
-        current = rate
-    if flow.end > cursor:
-        intervals.append((cursor, flow.end, current))
-    return intervals
-
-
-def _cap_at(timeline, t: float) -> float | None:
-    cap = None
-    for at, value in timeline:
-        if at > t + 1e-12:
-            break
-        cap = value
-    return cap
-
-
 def _resources(edges) -> set[tuple[str, int]]:
     out: set[tuple[str, int]] = set()
     for src, dst in edges:
@@ -492,7 +461,7 @@ def _flow_categories(
     ref = flow.fields.get("bmin")
     ref = float(ref) if ref else None
     resources = _resources(flow.fields.get("edges", []))
-    for s0, e0, rate in _rate_profile(flow, rates):
+    for s0, e0, rate in _rate_profile(flow.start, flow.end, rates):
         s, e = max(s0, start), min(e0, end)
         dt = e - s
         if dt <= 0:

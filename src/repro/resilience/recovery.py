@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from repro.core.bandwidth_view import BandwidthSnapshot
 from repro.core.scheduler import SchedulerConfig, recommendation_value
 from repro.obs.tracer import NULL_TRACER
-from repro.repair.fullnode import choose_requestor
+from repro.repair.jobmaster import choose_requestor
 from repro.resilience.journal import JournalError, RepairJournal
 
 
