@@ -40,6 +40,7 @@ from repro.faults.plan import FaultPlan
 from repro.network.simulator import FluidSimulator
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER
+from repro.repair.executor import _apply_governor
 from repro.repair.jobmaster import StripeRepairMaster
 from repro.repair.metrics import FullNodeResult
 from repro.repair.pipeline import ExecutionConfig, remaining_bytes_per_edge
@@ -327,20 +328,6 @@ class ControlPlane:
                 )
         self._reconcile_owners()
 
-    def _apply_governor(self) -> float | None:
-        if self.governor is None:
-            return None
-        cap = self.governor.repair_rate_cap(self.sim.now, self.foreground)
-        if self.sim.sampler is not None:
-            self.sim.sampler.note_governor_cap(cap)
-        for job in self._admitted():
-            for flight in job.master.in_flight.values():
-                self.sim.set_task_max_rate(flight.handle, cap)
-        self.registry.gauge("repair_rate_cap").set(
-            -1.0 if cap is None else cap
-        )
-        return cap
-
     def _backpressure_step(self) -> None:
         now = self.sim.now
         admitted = self._admitted()
@@ -536,7 +523,15 @@ class ControlPlane:
                 stack.enter_context(planner.traced(self.tracer))
             while not all(job.terminal for job in self.jobs):
                 self._tick_faults()
-                cap = self._apply_governor()
+                cap = _apply_governor(
+                    self.governor, self.foreground, self.sim,
+                    (
+                        flight.handle
+                        for job in self._admitted()
+                        for flight in job.master.in_flight.values()
+                    ),
+                    self.registry, self.tracer,
+                )
                 self._backpressure_step()
                 self._admission_step()
                 self._dispatch(cap)

@@ -37,6 +37,7 @@ from repro.faults.policy import RetryPolicy
 from repro.network.simulator import FluidSimulator
 from repro.network.topology import StarNetwork
 from repro.obs.tracer import NULL_TRACER
+from repro.repair.executor import _apply_governor
 from repro.repair.jobmaster import StripeRepairMaster
 
 # Re-exported: the requestor helpers stay importable from this module,
@@ -69,33 +70,6 @@ def _run_until_event(sim: FluidSimulator, foreground, max_time: float):
     if foreground is None:
         return sim.run_until_completion(max_time=max_time)
     return foreground.run_until_repair_event(max_time=max_time)
-
-
-def _apply_governor(
-    governor, foreground, master: StripeRepairMaster
-) -> float | None:
-    """Consult the governor; retune every in-flight repair pipeline.
-
-    Returns the per-flow cap so newly submitted repairs start throttled
-    too.  The ``repair_rate_cap`` gauge reports -1 for "uncapped" (inf is
-    not JSON-serialisable).
-    """
-    if governor is None:
-        return None
-    sim, tracer = master.sim, master.tracer
-    cap = governor.repair_rate_cap(sim.now, foreground)
-    if sim.sampler is not None:
-        sim.sampler.note_governor_cap(cap)
-    for flight in master.in_flight.values():
-        sim.set_task_max_rate(flight.handle, cap)
-    master.registry.gauge("repair_rate_cap").set(-1.0 if cap is None else cap)
-    if tracer.enabled:
-        tracer.instant(
-            "governor.decision", t=sim.now, track="governor",
-            policy=governor.name, cap=-1.0 if cap is None else cap,
-            in_flight=len(master.in_flight),
-        )
-    return cap
 
 
 def _note_progress(sim: FluidSimulator, completed: int, total: int) -> None:
@@ -169,7 +143,11 @@ def _drive(
     with master.planner.traced(tracer):
         while not master.done:
             master.tick()
-            cap = _apply_governor(governor, foreground, master)
+            cap = _apply_governor(
+                governor, foreground, sim,
+                (flight.handle for flight in master.in_flight.values()),
+                master.registry, tracer,
+            )
             start(master, cap)
             if not master.in_flight:
                 continue

@@ -14,9 +14,16 @@ from repro.core import PivotRepairPlanner
 from repro.core.bandwidth_view import BandwidthSnapshot
 from repro.ec import RSCode, place_stripes
 from repro.faults import FaultPlan, RetryPolicy
-from repro.loadgen import ClientRequest, ForegroundEngine
+from repro.loadgen import ClientRequest, ForegroundEngine, StaticCapGovernor
+from repro.network.simulator import FluidSimulator
 from repro.network.topology import StarNetwork
-from repro.obs import Tracer, critical_paths, crosscheck, diagnose
+from repro.obs import (
+    FlightRecorder,
+    Tracer,
+    critical_paths,
+    crosscheck,
+    diagnose,
+)
 from repro.obs.export import events_from_jsonl, to_jsonl
 from repro.repair import (
     repair_full_node,
@@ -26,7 +33,7 @@ from repro.repair import (
 from repro.repair.multichunk import execute_multi_chunk, plan_multi_chunk
 from repro.repair.pipeline import ExecutionConfig
 from repro.resilience import HealthPolicy
-from repro.units import gbps, mib
+from repro.units import gbps, mbps, mib
 
 MiB = 1024 * 1024
 CODE = RSCode(6, 4)
@@ -298,3 +305,52 @@ class TestFleetJobBlame:
             assert sum(path.tenants.values()) == pytest.approx(
                 path.categories.get("contention", 0.0), abs=1e-12
             )
+
+
+class TestGovernedRuns:
+    """Every repair loop — single chunk, full node, control plane —
+    traces its governor decisions, so time a flow spent at the QoS cap
+    is governor time on the critical path and in the flow diagnosis
+    alike (the recorder's cap samples no longer disagree with an empty
+    decision timeline)."""
+
+    def test_single_chunk(self):
+        net = StarNetwork.constant([10 * MiB] * 8, [10 * MiB] * 8)
+        tracer = Tracer()
+        sampler = FlightRecorder(interval=0.1)
+        result = repair_single_chunk(
+            ZeroPlanningPivot(), net, 0, [1, 2, 3, 4, 5], CODE.k,
+            config=ExecutionConfig(chunk_size=8 * MiB, slice_size=mib(1)),
+            tracer=tracer, governor=StaticCapGovernor(cap=2 * MiB),
+            sampler=sampler,
+        )
+        assert result.telemetry["gauges"]["repair_rate_cap"] == 2 * MiB
+        report = critical_paths(tracer.events)
+        assert_exact_tiling(report)
+        assert report.categories["governor"] > 0
+        diagnosis = diagnose(tracer.events, sampler=sampler)
+        assert crosscheck(report, diagnosis) == []
+
+    def test_control_plane(self):
+        from repro.controlplane.plane import ControlPlane
+
+        network = StarNetwork.uniform(NODE_COUNT, gbps(1))
+        stripes = place_stripes(6, CODE, NODE_COUNT, np.random.default_rng(0))
+        tracer = Tracer()
+        sampler = FlightRecorder(interval=0.05)
+        sim = FluidSimulator(network, tracer=tracer, sampler=sampler)
+        plane = ControlPlane(
+            sim, network, tracer=tracer,
+            governor=StaticCapGovernor(cap=mbps(200)),
+        )
+        plane.add_job(
+            "node", ZeroPlanningPivot(), stripes, stripes[0].placement[0],
+            config=ExecutionConfig(chunk_size=mib(4), slice_size=mib(1)),
+        )
+        fleet = plane.run()
+        assert all(fleet.completed.values())
+        report = critical_paths(tracer.events)
+        assert_exact_tiling(report)
+        assert report.categories["governor"] > 0
+        diagnosis = diagnose(tracer.events, sampler=sampler)
+        assert crosscheck(report, diagnosis) == []
