@@ -1045,10 +1045,12 @@ def _cmd_experiment(args, tracer=NULL_TRACER) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Diagnosis (explain / report)
+# Diagnosis (explain / critpath / report)
 # ----------------------------------------------------------------------
 def _explain_run(args, tracer) -> tuple:
-    """(diagnosis, samples, meta) for ``explain``/``report``, either mode."""
+    """(diagnosis, meta, header, events) for ``explain``/``critpath``/
+    ``report``, either mode; the samples are stashed on ``args`` for the
+    ``--trace`` chrome export (utilization counter tracks)."""
     if args.target.suffix == ".jsonl":
         events = events_from_jsonl(args.target.read_text())
         samples = (
@@ -1056,13 +1058,15 @@ def _explain_run(args, tracer) -> tuple:
             if args.samples is not None
             else []
         )
+        args.recorded_samples = samples
         diagnosis = diagnose(events, samples=samples)
         meta = {
             "mode": "saved",
             "events": len(events),
             "samples": len(samples),
         }
-        return diagnosis, samples, meta
+        header = f"saved run: {len(events)} events, {len(samples)} samples"
+        return diagnosis, meta, header, events
     trace = WorkloadTrace.load(args.target)
     code = RSCode(args.n, args.k)
     rng = np.random.default_rng(args.seed)
@@ -1132,23 +1136,18 @@ def _explain_run(args, tracer) -> tuple:
         "repair_seconds": round(result.total_seconds, 3),
         "samples": len(sampler.samples),
     }
-    return diagnosis, list(sampler.samples), meta
+    args.recorded_samples = list(sampler.samples)
+    header = (
+        f"scenario: {trace.name} seed {args.seed}, scheme {args.scheme}, "
+        f"governor {args.governor}, failed node {failed}"
+    )
+    return diagnosis, meta, header, list(tracer.events)
 
 
 def _cmd_explain(args, tracer=NULL_TRACER) -> dict:
-    diagnosis, samples, meta = _explain_run(args, tracer)
-    # Stash for --trace chrome export (utilization counter tracks).
-    args.recorded_samples = samples
+    diagnosis, meta, header, _ = _explain_run(args, tracer)
     if args.diagnosis_out is not None:
         args.diagnosis_out.write_text(diagnosis.to_json() + "\n")
-    header = (
-        f"scenario: {meta['trace']} seed {meta['seed']}, scheme "
-        f"{meta['scheme']}, governor {meta['governor']}, failed node "
-        f"{meta['failed_node']}"
-        if meta["mode"] == "scenario"
-        else f"saved run: {meta['events']} events, "
-        f"{meta['samples']} samples"
-    )
     return {
         "scenario": meta,
         "diagnosis": diagnosis.to_dict(),
@@ -1158,20 +1157,7 @@ def _cmd_explain(args, tracer=NULL_TRACER) -> dict:
 
 def _cmd_critpath(args, tracer=NULL_TRACER) -> dict:
     """Exact critical-path attribution (``repro critpath``)."""
-    if args.target.suffix == ".jsonl":
-        events = events_from_jsonl(args.target.read_text())
-        diagnosis = diagnose(events)
-        meta = {"mode": "saved", "events": len(events)}
-        header = f"saved run: {meta['events']} events"
-    else:
-        diagnosis, samples, meta = _explain_run(args, tracer)
-        args.recorded_samples = samples
-        events = list(tracer.events)
-        header = (
-            f"scenario: {meta['trace']} seed {meta['seed']}, scheme "
-            f"{meta['scheme']}, governor {meta['governor']}, failed "
-            f"node {meta['failed_node']}"
-        )
+    diagnosis, meta, header, events = _explain_run(args, tracer)
     report = critical_paths(events)
     issues = crosscheck(report, diagnosis)
     if tracer.enabled:
@@ -1203,8 +1189,8 @@ def _cmd_critpath(args, tracer=NULL_TRACER) -> dict:
 
 
 def _cmd_report(args, tracer=NULL_TRACER) -> dict:
-    diagnosis, samples, meta = _explain_run(args, tracer)
-    args.recorded_samples = samples
+    diagnosis, meta, _, _ = _explain_run(args, tracer)
+    samples = args.recorded_samples
     title = f"repro run report: {meta.get('trace', args.target.name)}"
     args.html.write_text(
         render_html_report(diagnosis, samples=samples, title=title)

@@ -545,6 +545,31 @@ class TestCritpathCommand:
             assert abs(covered - path["makespan"]) <= 1e-9
         assert json.loads(artifact.read_text()) == report
 
+    def test_critpath_saved_trace_reads_samples(self, trace_file, tmp_path,
+                                                capsys):
+        from repro.obs import Sample
+
+        saved = tmp_path / "run.jsonl"
+        code = main(
+            ["--trace", str(saved), "fullnode", str(trace_file),
+             "--n", "6", "--k", "4", "--stripes", "4", "--chunk-mib", "4"]
+        )
+        assert code == 0
+        capsys.readouterr()
+        samples = [Sample(t=0.1 * i, up_util={1: 0.5}) for i in range(7)]
+        stream = tmp_path / "samples.jsonl"
+        stream.write_text(
+            "".join(json.dumps(s.to_dict()) + "\n" for s in samples)
+        )
+        code = main(
+            ["--json", "critpath", str(saved), "--samples", str(stream)]
+        )
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["scenario"]["mode"] == "saved"
+        assert payload["scenario"]["samples"] == len(samples)
+        assert payload["crosscheck"] == []
+
 
 class TestTopCommand:
     FAST = [
