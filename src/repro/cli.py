@@ -91,7 +91,6 @@ from repro.repair import (
     repair_full_node,
     repair_full_node_adaptive,
     repair_single_chunk,
-    repair_single_chunk_faulted,
 )
 from repro.resilience import RepairJournal
 from repro.reporting import (
@@ -681,31 +680,27 @@ def _cmd_repair(args, tracer=NULL_TRACER) -> dict:
     )
     faults, policy = _parse_faults(args)
     results = {}
+    if faults is not None:
+        # Spec times are relative to the start of the repair; the
+        # simulator clock starts at the congestion instant.
+        faults = faults.shifted(instant)
     for name, factory in SCHEME_FACTORIES.items():
-        if faults is not None:
-            # Spec times are relative to the start of the repair; the
-            # simulator clock starts at the congestion instant.
-            result = repair_single_chunk_faulted(
-                factory(), network, requestor, survivors, args.k,
-                faults.shifted(instant), policy=policy,
-                start_time=instant, config=config, tracer=tracer,
-            )
-            if not result.ok:
-                results[name] = {
-                    "status": "failed",
-                    "reason": result.reason,
-                    "attempts": result.attempts,
-                    "elapsed_seconds": round(result.elapsed_seconds, 3),
-                    "bytes_transferred": result.bytes_transferred,
-                }
-                if args.metrics:
-                    results[name]["telemetry"] = result.telemetry
-                continue
-        else:
-            result = repair_single_chunk(
-                factory(), network, requestor, survivors, args.k,
-                start_time=instant, config=config, tracer=tracer,
-            )
+        result = repair_single_chunk(
+            factory(), network, requestor, survivors, args.k,
+            start_time=instant, config=config, tracer=tracer,
+            faults=faults, policy=policy,
+        )
+        if not result.ok:
+            results[name] = {
+                "status": "failed",
+                "reason": result.reason,
+                "attempts": result.attempts,
+                "elapsed_seconds": round(result.elapsed_seconds, 3),
+                "bytes_transferred": result.bytes_transferred,
+            }
+            if args.metrics:
+                results[name]["telemetry"] = result.telemetry
+            continue
         results[name] = {
             "planning_seconds": result.planning_seconds,
             "transfer_seconds": round(result.transfer_seconds, 3),

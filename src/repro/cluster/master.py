@@ -177,19 +177,25 @@ class Cluster:
         different helper set) can verify any tree they ended up with.
         Nothing is stored or relocated — see :meth:`adopt_repair`.
         """
+        by_node = self._helper_coefficients(stripe, lost_index, plan)
+        if plan.is_pipelined:
+            return self._aggregate_tree(plan, stripe, by_node)
+        return self._aggregate_staged(plan, stripe, by_node)
+
+    def _helper_coefficients(
+        self, stripe: Stripe, lost_index: int, plan: RepairPlan
+    ) -> dict[int, int]:
+        """Each helper's decoding coefficient for rebuilding ``lost_index``."""
         helper_indices = [
             stripe.chunk_on_node(node) for node in sorted(plan.helpers)
         ]
         coefficients = self.code.repair_coefficients(
             lost_index, helper_indices
         )
-        by_node = {
+        return {
             node: coefficients[stripe.chunk_on_node(node)]
             for node in plan.helpers
         }
-        if plan.is_pipelined:
-            return self._aggregate_tree(plan, stripe, by_node)
-        return self._aggregate_staged(plan, stripe, by_node)
 
     def rebuild_slice_range(
         self,
@@ -221,16 +227,7 @@ class Cluster:
             )
         if slice_size <= 0:
             raise ClusterError("slice_size must be positive")
-        helper_indices = [
-            stripe.chunk_on_node(node) for node in sorted(plan.helpers)
-        ]
-        coefficients = self.code.repair_coefficients(
-            lost_index, helper_indices
-        )
-        by_node = {
-            node: coefficients[stripe.chunk_on_node(node)]
-            for node in plan.helpers
-        }
+        by_node = self._helper_coefficients(stripe, lost_index, plan)
         byte_range = (start_slice * slice_size, end_slice * slice_size)
         return self._aggregate_tree(
             plan, stripe, by_node, byte_range=byte_range
@@ -361,7 +358,7 @@ class Cluster:
         ]
         with planner.traced(self.tracer):
             plan = planner.plan(snapshot, client, candidates, self.code.k)
-        return self._execute_read_plan(plan, stripe, chunk_index)
+        return self.rebuild_from_plan(stripe, chunk_index, plan)
 
     def degraded_read_faulted(
         self,
@@ -453,31 +450,13 @@ class Cluster:
                         client=client, attempt=attempts,
                     )
                 continue
-            payload = self._execute_read_plan(plan, stripe, chunk_index)
+            payload = self.rebuild_from_plan(stripe, chunk_index, plan)
             return DegradedReadOutcome(
                 payload=payload,
                 attempts=attempts,
                 elapsed_seconds=(now + attempt_seconds) - start_time,
                 helpers=sorted(plan.helpers),
             )
-
-    def _execute_read_plan(
-        self, plan: RepairPlan, stripe: Stripe, chunk_index: int
-    ) -> np.ndarray:
-        """Run a read plan's data path; shared by both degraded reads."""
-        helper_indices = [
-            stripe.chunk_on_node(node) for node in sorted(plan.helpers)
-        ]
-        coefficients = self.code.repair_coefficients(
-            chunk_index, helper_indices
-        )
-        by_node = {
-            node: coefficients[stripe.chunk_on_node(node)]
-            for node in plan.helpers
-        }
-        if plan.is_pipelined:
-            return self._aggregate_tree(plan, stripe, by_node)
-        return self._aggregate_staged(plan, stripe, by_node)
 
     def _aggregate_tree(
         self,

@@ -23,7 +23,7 @@ from repro.faults.plan import FaultPlan
 from repro.faults.policy import RetryPolicy
 from repro.network.topology import StarNetwork
 from repro.obs.tracer import NULL_TRACER
-from repro.repair.executor import repair_single_chunk_faulted
+from repro.repair.executor import repair_single_chunk
 from repro.repair.jobmaster import choose_requestor
 from repro.repair.metrics import RepairFailed, RepairResult
 from repro.repair.pipeline import ExecutionConfig
@@ -133,9 +133,9 @@ def run_chaos_single_chunk(
         for node in stripe.surviving_nodes(failed_node)
         if cluster.nodes[node].alive
     ]
-    result = repair_single_chunk_faulted(
+    result = repair_single_chunk(
         planner, network, requestor, candidates, cluster.code.k,
-        faults, policy=policy, config=config, tracer=tracer,
+        faults=faults, policy=policy, config=config, tracer=tracer,
         journal=journal, health=health,
     )
     if not result.ok:

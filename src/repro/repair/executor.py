@@ -1,16 +1,25 @@
-"""Execute repair plans on the fluid network simulator.
+"""Execute single-chunk repairs on the fluid network simulator.
 
-Two execution modes:
+One attempt loop (:func:`repair_single_chunk`) runs every single-chunk
+repair.  Each attempt plans over the helpers' current bandwidth, submits
+the plan's flows, and drives the simulator until the attempt completes
+or fails.  A failed attempt re-plans over the survivors for the slices
+not yet delivered.  ``faults`` selects one of two contracts:
 
-* the fault-free path (:func:`execute_plan`, :func:`repair_single_chunk`)
-  runs a plan to clean completion;
-* the fault-aware path (:func:`repair_single_chunk_faulted`) threads a
-  :class:`~repro.faults.plan.FaultPlan` through the run — helpers can
-  crash, stall, or lose their chunk mid-transfer, and the executor
+* ``faults=None`` — the fault-free contract: exactly one attempt, no
+  stall timeout and never a :class:`~repro.repair.metrics.RepairFailed`;
+  planner and simulator exceptions propagate to the caller.  Staged
+  plans (PPR, conventional) run only here.
+* a :class:`~repro.faults.plan.FaultPlan` — the fault-aware contract:
+  helpers can crash, stall or lose their chunk mid-transfer.  The loop
   detects the failure (after the policy's timeout), cancels the flow,
-  re-plans over the survivors, and retries with backoff until the repair
-  completes or cleanly aborts with a
-  :class:`~repro.repair.metrics.RepairFailed` result.
+  re-plans over the survivors and retries with backoff until the repair
+  completes or cleanly aborts with a ``RepairFailed`` result.  Pipelined
+  plans only; on an empty plan every fault check is a no-op.
+
+:func:`execute_plan` runs one attempt of a precomputed plan through the
+same loop, and :func:`repair_single_chunk_faulted` is a compatibility
+name for ``repair_single_chunk(..., faults=...)``.
 """
 
 from __future__ import annotations
@@ -18,6 +27,7 @@ from __future__ import annotations
 import logging
 import math
 from collections.abc import Sequence
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 from repro.core.bandwidth_view import BandwidthSnapshot
@@ -34,14 +44,75 @@ from repro.obs.tracer import NULL_TRACER
 from repro.repair.metrics import RepairFailed, RepairResult
 from repro.repair.pipeline import (
     ExecutionConfig,
-    pipeline_bytes_per_edge,
     pipeline_overhead_seconds,
     remaining_bytes_per_edge,
+    verified_watermark,
 )
 from repro.repair.telemetry import registry_from_run
 from repro.resilience.health import HealthMonitor, HealthPolicy
 
 logger = logging.getLogger(__name__)
+
+#: The fault-free contract's plan and policy: every fault check on the
+#: empty plan is a no-op, and the policy is never consulted.
+_NO_FAULTS = FaultPlan.none()
+_DEFAULT_POLICY = RetryPolicy()
+
+
+def repair_single_chunk(
+    planner: RepairPlanner,
+    network,
+    requestor: int,
+    candidates: Sequence[int],
+    k: int,
+    start_time: float = 0.0,
+    config: ExecutionConfig | None = None,
+    tracer=NULL_TRACER,
+    foreground=None,
+    governor=None,
+    sampler=None,
+    faults: FaultPlan | None = None,
+    policy: RetryPolicy | None = None,
+    journal=None,
+    health: HealthPolicy | None = None,
+) -> RepairResult | RepairFailed:
+    """Plan and execute one single-chunk repair, starting at ``start_time``.
+
+    Each attempt plans from a bandwidth snapshot taken at its start.
+    Pipelined plans become one coupled task (every tree edge at a common
+    rate); staged plans run their rounds back-to-back, each round a set
+    of independent whole-chunk flows.  With a live ``tracer`` the
+    simulator emits flow events under one ``repair.task`` span; the
+    result always carries a ``telemetry`` snapshot.
+
+    ``foreground`` (a :class:`~repro.loadgen.ForegroundEngine`) runs
+    client flows on the same simulator and ``governor`` (a
+    :class:`~repro.loadgen.RepairQoSGovernor`) throttles the repair at
+    its decision interval; both need pipelined plans.  ``sampler`` (a
+    :class:`~repro.obs.FlightRecorder`) records aligned utilization
+    time series.
+
+    ``faults`` and ``policy`` select the fault-aware contract (see the
+    module docstring): ``attempts`` > 1 after re-plans, and
+    ``bytes_transferred`` counts the bytes of cancelled attempts exactly
+    once.  Resilience, both default off:
+
+    * ``journal`` — a :class:`~repro.resilience.RepairJournal`.  Slice
+      progress is checkpointed per attempt and a re-plan resumes from
+      the last verified slice; ``result.segments`` records which plan
+      carried which slice range, for
+      :meth:`~repro.cluster.Cluster.rebuild_slice_range`.  ``health``
+      alone also enables resume, without durability.
+    * ``health`` — a :class:`~repro.resilience.HealthPolicy`.  Enables
+      the gray-failure detector and hedged re-planning (see
+      :meth:`_SingleChunkRepair.drive`); ``result.hedges`` counts the
+      hedges launched.
+    """
+    return _SingleChunkRepair(
+        planner, network, requestor, candidates, k, start_time,
+        config or ExecutionConfig(), tracer, foreground, governor, sampler,
+        faults, policy or _DEFAULT_POLICY, journal, health,
+    ).run()
 
 
 def execute_plan(
@@ -54,95 +125,38 @@ def execute_plan(
     governor=None,
     sampler=None,
 ) -> RepairResult:
-    """Run a repair plan on a fresh simulator and time the transfer.
-
-    Pipelined plans become one coupled task (every tree edge at a common
-    rate); staged plans run their rounds back-to-back, each round a set of
-    independent whole-chunk flows.  With a live ``tracer`` the simulator
-    emits flow events and the result carries a ``telemetry`` snapshot.
-
-    ``foreground`` (a :class:`~repro.loadgen.ForegroundEngine`) runs
-    client flows on the same simulator while the repair transfers;
-    ``governor`` (a :class:`~repro.loadgen.RepairQoSGovernor`) throttles
-    the repair pipeline at its decision interval.  Pipelined plans only;
-    both default to None, leaving the repair-only path unchanged.
-    ``sampler`` (a :class:`~repro.obs.FlightRecorder`) records aligned
-    utilization time series for post-run diagnosis.
-    """
-    config = config or ExecutionConfig()
-    if (foreground is not None or governor is not None) and (
-        not plan.is_pipelined
-    ):
-        raise PlanningError(
-            "foreground-aware execution supports pipelined plans only"
-        )
-    sim = FluidSimulator(
-        network, start_time=start_time, tracer=tracer, sampler=sampler,
-        engine=config.engine,
-    )
-    if foreground is not None:
-        foreground.bind(sim, network)
-    registry = MetricsRegistry()
-    task_span = None
-    task_track = f"repair:{plan.requestor}"
-    if tracer.enabled:
-        # The repair's root causal span: every flow, fill and planning
-        # event of this repair hangs off it, and its duration is the
-        # makespan repro.obs.critpath reconstructs exactly.
-        task_span = tracer.begin(
-            "repair.task", t=start_time, track=task_track,
-            scheme=plan.scheme, requestor=plan.requestor, bmin=plan.bmin,
-        )
-    if plan.is_pipelined:
-        transfer = _run_pipelined(
-            plan, sim, config, registry, foreground=foreground,
-            governor=governor, task_span=task_span, task_track=task_track,
-        )
-    else:
-        transfer = _run_staged(
-            plan, sim, config, task_span=task_span
-        )
-    if tracer.enabled:
-        # Only simulated-time-derived fields here: wall-clock planning
-        # seconds would break byte-determinism of the default stream.
-        tracer.end(
-            "repair.task", t=start_time + transfer, span_id=task_span,
-            track=task_track, transfer_seconds=transfer,
-        )
-    logger.info(
-        "%s repair: transfer %.3fs, %.0f bytes over %d links",
-        plan.scheme, transfer, sim.total_bytes_transferred,
-        len(sim.bytes_up),
-    )
-    return RepairResult(
-        scheme=plan.scheme,
-        planning_seconds=plan.effective_planning_seconds,
-        transfer_seconds=transfer,
-        bmin=plan.bmin,
-        plan=plan,
-        bytes_transferred=sim.total_bytes_transferred,
-        telemetry=_telemetry(plan, sim, transfer, tracer, registry),
+    """Run a precomputed plan as one fault-free attempt and time it."""
+    return repair_single_chunk(
+        _GivenPlan(plan), network, plan.requestor, plan.helpers,
+        len(plan.helpers), start_time=start_time, config=config,
+        tracer=tracer, foreground=foreground, governor=governor,
+        sampler=sampler,
     )
 
 
-def _telemetry(
-    plan: RepairPlan, sim: FluidSimulator, transfer: float, tracer,
-    registry: MetricsRegistry,
-) -> dict:
-    """Registry snapshot of one single-chunk run."""
-    registry_from_run(sim, tracer, registry=registry)
-    if plan.is_pipelined and plan.bmin > 0 and transfer > 0:
-        # Achieved pipeline rate over the planner's promised bottleneck:
-        # ~1.0 when the plan held, < 1 when congestion moved against it.
-        bytes_per_edge = sim.total_bytes_transferred / max(
-            len(plan.tree.edges()), 1
-        )
-        registry.gauge("bottleneck_utilization").set(
-            bytes_per_edge / transfer / plan.bmin
-        )
-    registry.gauge("planner_seconds").set(plan.effective_planning_seconds)
-    registry.histogram("task_seconds").observe(transfer)
-    return registry.snapshot()
+def repair_single_chunk_faulted(
+    planner, network, requestor, candidates, k, faults, policy=None,
+    **options,
+) -> RepairResult | RepairFailed:
+    """Compatibility name for ``repair_single_chunk(..., faults=...)``."""
+    return repair_single_chunk(
+        planner, network, requestor, candidates, k, faults=faults,
+        policy=policy, **options,
+    )
+
+
+class _GivenPlan:
+    """Planner stand-in that hands every attempt one precomputed plan."""
+
+    def __init__(self, plan: RepairPlan):
+        self.name = plan.scheme
+        self._plan = plan
+
+    def plan(self, snapshot, requestor, candidates, k) -> RepairPlan:
+        return self._plan
+
+    def traced(self, tracer):
+        return nullcontext(self)
 
 
 def _apply_governor(
@@ -174,85 +188,14 @@ def _apply_governor(
     return cap
 
 
-def _run_pipelined(
-    plan: RepairPlan,
-    sim: FluidSimulator,
-    config: ExecutionConfig,
-    registry: MetricsRegistry,
-    foreground=None,
-    governor=None,
-    task_span: int | None = None,
-    task_track: str = "sim",
-) -> float:
-    tree = plan.tree
-    assert tree is not None
-    handle = sim.submit_pipelined(
-        tree.edges(),
-        pipeline_bytes_per_edge(config, tree.depth()),
-        label=plan.scheme,
-        parent_id=task_span,
-        meta={"bmin": plan.bmin} if task_span is not None else None,
-    )
-    flow_span = sim.task_span(handle)
-    if foreground is None and governor is None:
-        sim.run()
-    else:
-        while not handle.done:
-            bound = math.inf
-            if governor is not None:
-                _apply_governor(
-                    governor, foreground, sim, [handle], registry, sim.tracer
-                )
-                bound = sim.now + governor.decision_interval
-            if foreground is not None:
-                foreground.run_until_repair_event(max_time=bound)
-            else:
-                sim.run_until_completion(max_time=bound)
-    _trace_fill(
-        sim, config, finish=handle.finish_time,
-        task_span=task_span, task_track=task_track,
-        flow_span=flow_span,
-    )
-    return handle.duration + pipeline_overhead_seconds(config)
-
-
-def _trace_fill(
-    sim: FluidSimulator,
-    config: ExecutionConfig,
-    finish: float,
-    task_span: int | None,
-    task_track: str,
-    flow_span: int | None,
-) -> None:
-    """Span for the analytic pipeline fill/overhead tail of a repair.
-
-    The fluid flow models the steady stream; the first-slice fill and
-    per-slice handling are charged after it as
-    :func:`pipeline_overhead_seconds`.  Making that tail an explicit
-    span (following from the flow) lets the critical path attribute it
-    as *pipeline dependency* time rather than an anonymous gap.
-    """
-    overhead = pipeline_overhead_seconds(config)
-    if task_span is None or not sim.tracer.enabled or overhead <= 0:
-        return
-    links = (flow_span,) if flow_span is not None else ()
-    span = sim.tracer.begin(
-        "repair.fill", t=finish, track=task_track, parent_id=task_span,
-        links=links, overhead=overhead,
-    )
-    sim.tracer.end(
-        "repair.fill", t=finish + overhead, span_id=span, track=task_track
-    )
-
-
 def _run_staged(
     plan: RepairPlan,
     sim: FluidSimulator,
     config: ExecutionConfig,
     task_span: int | None = None,
-) -> float:
+) -> None:
+    """Run a staged plan's rounds back-to-back to completion."""
     assert plan.stages is not None
-    start = sim.now
     previous: tuple[int, ...] = ()
     for stage in plan.stages:
         handle = sim.submit_bulk(
@@ -266,35 +209,8 @@ def _run_staged(
         sim.run()
         if not handle.done:
             raise PlanningError(f"stage of {plan.scheme} never completed")
-    return sim.now - start
 
 
-def repair_single_chunk(
-    planner: RepairPlanner,
-    network: StarNetwork,
-    requestor: int,
-    candidates: Sequence[int],
-    k: int,
-    start_time: float = 0.0,
-    config: ExecutionConfig | None = None,
-    tracer=NULL_TRACER,
-    foreground=None,
-    governor=None,
-    sampler=None,
-) -> RepairResult:
-    """Plan (from a snapshot at ``start_time``) and execute one repair."""
-    snapshot = BandwidthSnapshot.from_network(network, start_time)
-    with planner.traced(tracer):
-        plan = planner.plan(snapshot, requestor, candidates, k)
-    return execute_plan(
-        plan, network, start_time=start_time, config=config, tracer=tracer,
-        foreground=foreground, governor=governor, sampler=sampler,
-    )
-
-
-# ----------------------------------------------------------------------
-# Fault-aware execution
-# ----------------------------------------------------------------------
 @dataclass
 class _Failure:
     """Why a running attempt stopped making progress."""
@@ -318,526 +234,616 @@ class _Hedge:
     span: int | None = None
 
 
-def _drive_attempt_hedged(
-    sim: FluidSimulator,
-    handle: TaskHandle,
-    plan: RepairPlan,
-    tree_nodes: set[int],
-    faults: FaultPlan,
-    policy: RetryPolicy,
-    monitor: HealthMonitor | None,
-    planner: RepairPlanner,
-    net,
-    requestor: int,
-    usable: Sequence[int],
-    k: int,
-    config: ExecutionConfig,
-    watermark: int,
-    attempt: int,
-    tracer,
-    registry: MetricsRegistry,
-    journal,
-    task_span: int | None = None,
-) -> tuple[_Failure | None, _Hedge | None, int]:
-    """Advance the simulation until ``handle`` finishes or fails.
+class _SingleChunkRepair:
+    """The attempt loop of one single-chunk repair and the state it shares.
 
-    Failure means: a tree node died or lost its chunk, or the task's
-    rate sat at zero for ``detection_timeout`` (stalled helper, collapsed
-    link).  The loop bounds every advance by the next fault event so a
-    crash can never strand the fluid model in a zero-rate stuck state.
-
-    With a ``monitor`` the attempt also hedges gray failures: while the
-    primary flow runs, ``monitor`` checks its relative progress on the
-    simulated-time grid.  On a straggler verdict a *hedge* — an alternate
-    tree over the non-culprit survivors, fetching only the remaining
-    slice range — is submitted under the ``hedge`` traffic class and
-    raced against the primary; whichever finishes first wins, the loser
-    is cancelled (its bytes stay accounted in the ``hedge`` bucket).
-    With ``monitor=None`` no hedge ever launches.  Returns ``(failure,
-    adopted_hedge, hedges_launched)``; ``failure`` is ``None`` on
-    completion.
+    Owns the simulator, the ``repair.task`` span, the metrics registry
+    and the journal stream; :meth:`run` plans, submits and drives
+    attempts until one completes (or, under a fault plan, the repair
+    cleanly fails).
     """
-    stalled_since: float | None = None
-    hedge: _Hedge | None = None
-    launched = 0
 
-    def drop_hedge(reason: str) -> None:
-        nonlocal hedge
-        if hedge is None or hedge.handle.done:
-            hedge = None
-            return
-        remaining = sim.cancel_task(hedge.handle)
-        registry.counter("hedges_cancelled").inc()
-        registry.counter("hedge_events", kind="cancel").inc()
+    def __init__(
+        self, planner, network, requestor, candidates, k, start_time,
+        config, tracer, foreground, governor, sampler, faults, policy,
+        journal, health,
+    ):
+        self.planner = planner
+        self.requestor = requestor
+        self.candidates = list(candidates)
+        self.k = k
+        self.start_time = start_time
+        self.config = config
+        self.tracer = tracer
+        self.foreground = foreground
+        self.governor = governor
+        #: Fault-aware contract (retries, stall timeout, RepairFailed).
+        self.faulted = faults is not None
+        self.faults = faults if faults is not None else _NO_FAULTS
+        self.policy = policy
+        self.journal = journal
+        self.health = health
+        self.net = FaultyNetwork.wrap(network, self.faults)
+        self.sim = FluidSimulator(
+            self.net, start_time=start_time, tracer=tracer,
+            sampler=sampler, engine=config.engine,
+        )
+        if foreground is not None:
+            foreground.bind(self.sim, self.net)
+        self.registry = MetricsRegistry()
+        self.track = f"repair:{requestor}"
+        #: The repair's root causal span: every flow, fill and planning
+        #: event of this repair hangs off it, and its duration is the
+        #: makespan repro.obs.critpath reconstructs exactly.
+        self.span: int | None = None
+        self.attempts = 0
+        self.hedges = 0
+
+    # ------------------------------------------------------------------
+    # The attempt loop
+    # ------------------------------------------------------------------
+    def run(self) -> RepairResult | RepairFailed:
+        tracer, sim, faults = self.tracer, self.sim, self.faults
+        requestor, k, config = self.requestor, self.k, self.config
         if tracer.enabled:
-            tracer.instant(
-                "hedge.cancel", t=sim.now, track="executor",
-                parent_id=task_span,
-                task=handle.task_id, hedge_task=hedge.handle.task_id,
-                reason=reason, bytes_remaining=remaining,
+            self.span = tracer.begin(
+                "repair.task", t=self.start_time, track=self.track,
+                scheme=self.planner.name, requestor=requestor,
             )
-        if journal is not None:
-            journal.append(
-                "hedge_cancel", t=sim.now, task=handle.task_id,
-                hedge_task=hedge.handle.task_id, reason=reason,
-            )
-        hedge = None
-
-    def launch_hedge(verdict) -> _Hedge | None:
-        culprits = set(verdict.nodes)
-        alternates = [n for n in usable if n not in culprits]
-        if requestor in culprits or len(alternates) < k:
-            return None
-        snapshot = BandwidthSnapshot.from_network(net, sim.now)
-        try:
-            hedge_plan = planner.plan(snapshot, requestor, alternates, k)
-        except PlanningError:
-            return None
-        progress = sim.task_progress(handle)
-        attempt_slices = config.slices - watermark
-        verified = max(
-            0, int(progress * attempt_slices) - (plan.tree.depth() - 1)
+        injector = (
+            FaultInjector(faults, tracer=tracer, registry=self.registry)
+            if faults else None
         )
-        start_slice = min(watermark + verified, config.slices - 1)
-        hedge_tree = hedge_plan.tree
-        primary_span = sim.task_span(handle)
-        hedge_handle = sim.submit_pipelined(
-            hedge_tree.edges(),
-            remaining_bytes_per_edge(config, hedge_tree.depth(), start_slice),
-            label=f"{hedge_plan.scheme}-h{attempt}",
-            kind="hedge",
-            parent_id=task_span,
-            # The hedge races the primary it follows from.
-            links=(primary_span,) if primary_span is not None else (),
-            meta={
-                "bmin": hedge_plan.bmin, "start_slice": start_slice,
-                "hedge_of": handle.task_id,
-            } if task_span is not None else None,
-        )
-        registry.counter("hedges_launched").inc()
-        registry.counter("hedge_events", kind="launch").inc()
-        if tracer.enabled:
-            tracer.instant(
-                "hedge.launch", t=sim.now, track="executor",
-                parent_id=task_span,
-                task=handle.task_id, hedge_task=hedge_handle.task_id,
-                start_slice=start_slice, helpers=sorted(hedge_plan.helpers),
-                excluded=sorted(culprits),
+        planning_total = 0.0
+        resilient = self.journal is not None or self.health is not None
+        watermark = 0
+        last_flow_span: int | None = None
+        segments: list[tuple[RepairPlan, int]] = []
+        if self.journal is not None:
+            self.journal.append(
+                "task_start", t=self.start_time, requestor=requestor,
+                candidates=sorted(self.candidates), k=k,
+                scheme=self.planner.name,
             )
-        if journal is not None:
-            journal.append(
-                "hedge_launch", t=sim.now, task=handle.task_id,
-                hedge_task=hedge_handle.task_id, start_slice=start_slice,
-            )
-        return _Hedge(
-            handle=hedge_handle,
-            plan=hedge_plan,
-            start_slice=start_slice,
-            tree_nodes=frozenset({hedge_tree.root, *hedge_tree.helpers}),
-            span=sim.task_span(hedge_handle),
-        )
-
-    while True:
-        if handle.done:
-            drop_hedge("primary_won")
-            return None, None, launched
-        if hedge is not None and hedge.handle.done:
-            adopted = hedge
-            sim.cancel_task(handle)
-            registry.counter("flows_cancelled").inc()
-            registry.counter("hedges_adopted").inc()
-            registry.counter("hedge_events", kind="adopt").inc()
-            if tracer.enabled:
-                tracer.instant(
-                    "hedge.adopt", t=sim.now, track="executor",
-                    parent_id=task_span,
-                    task=handle.task_id, hedge_task=adopted.handle.task_id,
-                    start_slice=adopted.start_slice,
-                )
-                if adopted.span is not None and task_span is not None:
-                    # Late causal edge: the repair's completion now
-                    # follows from the adopted hedge, not the primary.
-                    tracer.link(
-                        adopted.span, task_span, t=sim.now,
-                        track="executor", reason="hedge_adopt",
+        with self.planner.traced(tracer):
+            while True:
+                now = sim.now
+                usable = self.candidates
+                if faults:
+                    injector.announce_until(now)
+                    usable, reason = self._usable_helpers(now)
+                    if reason:
+                        return self._failed(reason)
+                snapshot = BandwidthSnapshot.from_network(self.net, now)
+                try:
+                    # Scoped so the planner.plan instant inherits the
+                    # repair span as its causal parent.
+                    with tracer.scope(self.span):
+                        plan = self.planner.plan(
+                            snapshot, requestor, usable, k
+                        )
+                except PlanningError as error:
+                    if not self.faulted:
+                        raise
+                    return self._failed(f"planning failed: {error}")
+                planning_total += plan.effective_planning_seconds
+                if self.attempts > 0:
+                    self.registry.counter("replans").inc()
+                    if tracer.enabled:
+                        tracer.instant(
+                            "repair.replan", t=now, track="executor",
+                            parent_id=self.span,
+                            attempt=self.attempts + 1, scheme=plan.scheme,
+                            helpers=sorted(plan.helpers), bmin=plan.bmin,
+                        )
+                self.attempts += 1
+                if not plan.is_pipelined:
+                    if (self.faulted or self.foreground is not None
+                            or self.governor is not None):
+                        raise PlanningError(
+                            f"staged {plan.scheme} plans run only without "
+                            "faults, foreground load or a governor"
+                        )
+                    _run_staged(plan, sim, config, task_span=self.span)
+                    return self._succeeded(
+                        plan, planning_total, sim.now - self.start_time,
+                        segments, flow_span=None,
                     )
-            if journal is not None:
-                journal.append(
-                    "hedge_adopt", t=sim.now, task=handle.task_id,
-                    hedge_task=adopted.handle.task_id,
-                    start_slice=adopted.start_slice,
+                tree = plan.tree
+                handle = sim.submit_pipelined(
+                    tree.edges(),
+                    remaining_bytes_per_edge(config, tree.depth(), watermark),
+                    label=f"{plan.scheme}-a{self.attempts}",
+                    parent_id=self.span,
+                    # A retried / journal-resumed attempt follows from the
+                    # flow it replaces.
+                    links=(last_flow_span,) if last_flow_span is not None
+                    else (),
+                    meta={
+                        "bmin": plan.bmin, "attempt": self.attempts,
+                        "start_slice": watermark,
+                    } if self.span is not None else None,
                 )
-            return None, adopted, launched
-        now = sim.now
-        dead = sorted(n for n in tree_nodes if faults.is_dead(n, now))
-        bad = sorted(
-            n for n in tree_nodes
-            if faults.chunk_unreadable(n, now) and n not in dead
-        )
-        if hedge is not None and not (dead or bad):
-            # A fault touching only the hedge tree drops the hedge and
-            # lets the primary keep racing alone.
-            hedge_hit = any(
-                faults.is_dead(n, now) or faults.chunk_unreadable(n, now)
-                for n in hedge.tree_nodes
-            )
-            if hedge_hit:
-                drop_hedge("fault")
-        if dead or bad:
-            drop_hedge("primary_fault")
-            kind = "crash" if dead else "readerr"
-            return _Failure(kind=kind, nodes=dead + bad, time=now), None, \
-                launched
-        watched = (
-            tree_nodes | hedge.tree_nodes if hedge is not None else tree_nodes
-        )
-        bound = min(
-            faults.next_failure_affecting(watched, now),
-            faults.next_change_after(now),
-        )
-        rate = sim.current_rate(handle)
-        if hedge is not None:
-            rate += sim.current_rate(hedge.handle)
-        if rate <= 1e-12:
-            if stalled_since is None:
-                stalled_since = now
-            deadline = stalled_since + policy.detection_timeout
-            if now >= deadline:
-                culprits = sorted(
-                    n for n in tree_nodes
-                    if faults.capacity_factor(n, "up", now) == 0.0
-                    or faults.capacity_factor(n, "down", now) == 0.0
+                last_flow_span = sim.task_span(handle)
+                tree_nodes = {tree.root, *tree.helpers}
+                if self.journal is not None:
+                    self.journal.append(
+                        "attempt", t=now, attempt=self.attempts,
+                        scheme=plan.scheme, helpers=sorted(plan.helpers),
+                        watermark=watermark, bmin=plan.bmin,
+                    )
+                monitor = (
+                    HealthMonitor(
+                        self.health, sim, handle, plan, snapshot, tree_nodes
+                    )
+                    if self.health is not None
+                    and self.hedges < self.health.max_hedges
+                    else None
                 )
-                drop_hedge("stall")
-                return _Failure(kind="stall", nodes=culprits, time=now), \
-                    None, launched
-            bound = min(bound, deadline)
-        else:
-            stalled_since = None
-        if monitor is not None and hedge is None:
-            bound = min(bound, monitor.next_check)
-        try:
-            sim.run_until_completion(max_time=bound)
-        except SimulationError:
-            drop_hedge("stuck")
-            return _Failure(kind="stuck", nodes=[], time=sim.now), None, \
-                launched
-        if monitor is not None and hedge is None:
-            verdict = monitor.observe(net)
-            if verdict is not None:
-                registry.counter("stragglers").inc()
+                failure, adopted, launched = self.drive(
+                    handle, plan, tree_nodes, monitor, usable, watermark
+                )
+                self.hedges += launched
+                if faults:
+                    injector.announce_until(sim.now)
+                if failure is None:
+                    flow_span = last_flow_span
+                    if adopted is not None:
+                        if adopted.start_slice > watermark:
+                            segments.append((plan, watermark))
+                        segments.append((adopted.plan, adopted.start_slice))
+                        planning_total += (
+                            adopted.plan.effective_planning_seconds
+                        )
+                        plan = adopted.plan
+                        flow_span = adopted.span
+                    elif resilient:
+                        segments.append((plan, watermark))
+                    return self._succeeded(
+                        plan, planning_total,
+                        sim.now - self.start_time
+                        + pipeline_overhead_seconds(config),
+                        segments, flow_span=flow_span,
+                    )
+                # Detection latency: the failure is noticed one timeout
+                # after it happened (or immediately for a stall, whose
+                # detection already waited the timeout inside the drive
+                # loop).
+                if failure.kind in ("crash", "readerr"):
+                    detected = failure.time + self.policy.detection_timeout
+                    sim.advance_to(max(sim.now, detected))
+                self.registry.counter("fault_detections").inc()
                 if tracer.enabled:
                     tracer.instant(
-                        "health.straggler", t=sim.now, track="health",
-                        parent_id=task_span,
-                        task=handle.task_id, nodes=sorted(verdict.nodes),
-                        since=verdict.since, observed=verdict.observed,
-                        promised=verdict.promised,
+                        "repair.detect", t=sim.now, track="executor",
+                        parent_id=self.span,
+                        kind=failure.kind, nodes=failure.nodes,
+                        attempt=self.attempts,
                     )
-                if journal is not None:
-                    journal.append(
-                        "straggler", t=sim.now, task=handle.task_id,
-                        nodes=sorted(verdict.nodes), since=verdict.since,
+                if resilient:
+                    # Advance the slice watermark past what this attempt
+                    # verifiably delivered; the next attempt resumes
+                    # there.  A read error yields garbage bytes for the
+                    # attempt's whole range, so it contributes nothing
+                    # (earlier attempts' verified segments stay good).
+                    if failure.kind != "readerr" and not handle.done:
+                        verified = verified_watermark(
+                            config, tree.depth(), watermark,
+                            sim.task_progress(handle),
+                        )
+                        if verified > watermark:
+                            segments.append((plan, watermark))
+                            watermark = verified
+                    if self.journal is not None:
+                        self.journal.append(
+                            "attempt_failed", t=sim.now,
+                            attempt=self.attempts, failure=failure.kind,
+                            watermark=watermark,
+                            bytes_transferred=sim.total_bytes_transferred,
+                        )
+                # A read error leaves link capacity intact, so the doomed
+                # flow may have "completed" (delivering garbage) inside
+                # the detection window — there is nothing left to cancel
+                # then, but the attempt still failed and must be
+                # re-planned.
+                if not handle.done:
+                    sim.cancel_task(handle)
+                    self.registry.counter("flows_cancelled").inc()
+                if self.attempts > self.policy.max_retries:
+                    return self._failed(
+                        f"retry budget exhausted after {self.attempts} "
+                        f"attempts (last failure: {failure.kind})"
                     )
-                hedge = launch_hedge(verdict)
-                if hedge is not None:
-                    launched += 1
+                self._back_off()
 
+    def _usable_helpers(self, now: float) -> tuple[list[int], str]:
+        """Helpers to plan over now, or why the repair cannot continue."""
+        faults = self.faults
+        if faults.is_dead(self.requestor, now):
+            return [], f"requestor {self.requestor} crashed"
+        alive = [
+            node for node in self.candidates
+            if not faults.is_dead(node, now)
+            and not faults.chunk_unreadable(node, now)
+        ]
+        if len(alive) < self.k:
+            return [], (
+                f"only {len(alive)} of {len(self.candidates)} helpers "
+                f"survive, need k={self.k}"
+            )
+        # Prefer helpers that are not frozen right now, when enough
+        # healthy ones remain — a plan through a stalled node would only
+        # stall again.
+        stalled = faults.stalled_nodes(now)
+        usable = [node for node in alive if node not in stalled]
+        return (usable if len(usable) >= self.k else alive), ""
 
-def repair_single_chunk_faulted(
-    planner: RepairPlanner,
-    network,
-    requestor: int,
-    candidates: Sequence[int],
-    k: int,
-    faults: FaultPlan,
-    policy: RetryPolicy | None = None,
-    start_time: float = 0.0,
-    config: ExecutionConfig | None = None,
-    tracer=NULL_TRACER,
-    sampler=None,
-    journal=None,
-    health: HealthPolicy | None = None,
-) -> RepairResult | RepairFailed:
-    """Single-chunk repair under an injected fault plan.
+    def _back_off(self) -> None:
+        """Wait out the policy's backoff before the next attempt."""
+        sim, tracer = self.sim, self.tracer
+        backoff = self.policy.backoff(self.attempts - 1)
+        self.registry.counter("retries").inc()
+        if tracer.enabled:
+            tracer.instant(
+                "repair.retry", t=sim.now, track="executor",
+                parent_id=self.span, attempt=self.attempts, backoff=backoff,
+            )
+            if backoff > 0:
+                # Explicit backoff span so the wait shows up as stall
+                # time on the repair's critical path.
+                backoff_span = tracer.begin(
+                    "repair.backoff", t=sim.now, track=self.track,
+                    parent_id=self.span, attempt=self.attempts,
+                    seconds=backoff,
+                )
+                tracer.end(
+                    "repair.backoff", t=sim.now + backoff,
+                    span_id=backoff_span, track=self.track,
+                )
+        if backoff > 0:
+            sim.advance_to(sim.now + backoff)
 
-    The repair plans over the helpers alive *now*, executes on the
-    fault-mutated network, and reacts to failures mid-transfer: detection
-    after ``policy.detection_timeout``, flow cancellation, exponential
-    backoff, and a re-plan over the surviving helpers (a traced
-    ``repair.replan``).  Completes with a normal :class:`RepairResult`
-    (``attempts`` > 1 when it had to re-plan) or aborts with
-    :class:`RepairFailed` — it never hangs and never returns short data.
-
-    ``bytes_transferred`` is taken from the simulator's fluid accounting,
-    so bytes a cancelled attempt already moved are counted exactly once —
-    a restarted flow does not double-count its chunk.
-
-    Resilience (both default off, leaving the legacy path byte-identical):
-
-    * ``journal`` — a :class:`~repro.resilience.RepairJournal`.  Slice
-      progress is checkpointed per attempt and a re-plan **resumes from
-      the last verified slice**: the new tree only fetches the remaining
-      slice range, and ``result.segments`` records which plan carried
-      which range so the cluster layer can decode-verify the stitched
-      chunk (:meth:`~repro.cluster.Cluster.rebuild_slice_range`).
-      Passing ``health`` alone also enables resume (with an in-memory
-      journal's semantics but no durability).
-    * ``health`` — a :class:`~repro.resilience.HealthPolicy`.  Enables the
-      gray-failure detector and hedged re-planning (see
-      :func:`_drive_attempt_hedged`); ``result.hedges`` counts adopted or
-      cancelled hedges.
-    """
-    policy = policy or RetryPolicy()
-    config = config or ExecutionConfig()
-    net = FaultyNetwork.wrap(network, faults)
-    sim = FluidSimulator(
-        net, start_time=start_time, tracer=tracer, sampler=sampler,
-        engine=config.engine,
-    )
-    task_span: int | None = None
-    task_track = f"repair:{requestor}"
-    if tracer.enabled:
-        task_span = tracer.begin(
-            "repair.task", t=start_time, track=task_track,
-            scheme=planner.name, requestor=requestor,
+    def _succeeded(
+        self,
+        plan: RepairPlan,
+        planning_seconds: float,
+        transfer: float,
+        segments: list,
+        flow_span: int | None,
+    ) -> RepairResult:
+        sim, tracer, registry = self.sim, self.tracer, self.registry
+        if tracer.enabled:
+            overhead = pipeline_overhead_seconds(self.config)
+            if plan.is_pipelined and overhead > 0:
+                # The fluid flow models the steady stream; the first-slice
+                # fill and per-slice handling are charged after it.  An
+                # explicit span following from the flow lets the critical
+                # path attribute that tail as pipeline dependency time
+                # rather than an anonymous gap.
+                fill = tracer.begin(
+                    "repair.fill", t=sim.now, track=self.track,
+                    parent_id=self.span, overhead=overhead,
+                    links=(flow_span,) if flow_span is not None else (),
+                )
+                tracer.end(
+                    "repair.fill", t=sim.now + overhead, span_id=fill,
+                    track=self.track,
+                )
+            # Only simulated-time-derived fields here: wall-clock planning
+            # seconds would break byte-determinism of the default stream.
+            tracer.end(
+                "repair.task", t=self.start_time + transfer,
+                span_id=self.span, track=self.track,
+                transfer_seconds=transfer,
+                attempts=self.attempts, hedges=self.hedges,
+            )
+        if (
+            plan.is_pipelined and self.attempts == 1 and self.hedges == 0
+            and plan.bmin > 0 and transfer > 0
+        ):
+            # Achieved pipeline rate over the planner's promised
+            # bottleneck: ~1.0 when the plan held, < 1 when congestion
+            # moved against it.  Only one uninterrupted pipeline has a
+            # single promise to measure against.
+            bytes_per_edge = sim.total_bytes_transferred / max(
+                len(plan.tree.edges()), 1
+            )
+            registry.gauge("bottleneck_utilization").set(
+                bytes_per_edge / transfer / plan.bmin
+            )
+        registry.gauge("planner_seconds").set(planning_seconds)
+        registry.histogram("task_seconds").observe(transfer)
+        if self.journal is not None:
+            self.journal.append(
+                "task_done", t=sim.now, scheme=plan.scheme,
+                attempts=self.attempts, hedges=self.hedges,
+            )
+        logger.info(
+            "%s repair: transfer %.3fs, %.0f bytes over %d links, "
+            "%d attempt(s)",
+            plan.scheme, transfer, sim.total_bytes_transferred,
+            len(sim.bytes_up), self.attempts,
         )
-    registry = MetricsRegistry()
-    injector = FaultInjector(faults, tracer=tracer, registry=registry)
-    candidates = list(candidates)
-    attempts = 0
-    planning_total = 0.0
-    plan: RepairPlan | None = None
-    resilient = journal is not None or health is not None
-    watermark = 0
-    last_flow_span: int | None = None
-    segments: list[tuple[RepairPlan, int]] = []
-    hedges = 0
-    if journal is not None:
-        journal.append(
-            "task_start", t=start_time, requestor=requestor,
-            candidates=sorted(candidates), k=k, scheme=planner.name,
+        return RepairResult(
+            scheme=plan.scheme,
+            planning_seconds=planning_seconds,
+            transfer_seconds=transfer,
+            bmin=plan.bmin,
+            plan=plan,
+            bytes_transferred=sim.total_bytes_transferred,
+            telemetry=registry_from_run(sim, tracer, registry).snapshot(),
+            attempts=self.attempts,
+            segments=segments,
+            hedges=self.hedges,
         )
 
-    def failed(reason: str) -> RepairFailed:
-        registry.counter("repairs_failed").inc()
+    def _failed(self, reason: str) -> RepairFailed:
+        sim, tracer = self.sim, self.tracer
+        self.registry.counter("repairs_failed").inc()
         if tracer.enabled:
             tracer.instant(
                 "repair.failed", t=sim.now, track="executor",
-                parent_id=task_span,
-                scheme=planner.name, reason=reason, attempts=attempts,
+                parent_id=self.span, scheme=self.planner.name,
+                reason=reason, attempts=self.attempts,
             )
             tracer.end(
-                "repair.task", t=sim.now, span_id=task_span,
-                track=task_track, failed=True, attempts=attempts,
+                "repair.task", t=sim.now, span_id=self.span,
+                track=self.track, failed=True, attempts=self.attempts,
             )
-        logger.warning("repair failed after %d attempts: %s", attempts, reason)
+        logger.warning(
+            "repair failed after %d attempts: %s", self.attempts, reason
+        )
         return RepairFailed(
-            scheme=planner.name,
+            scheme=self.planner.name,
             reason=reason,
-            elapsed_seconds=sim.now - start_time,
-            attempts=attempts,
+            elapsed_seconds=sim.now - self.start_time,
+            attempts=self.attempts,
             bytes_transferred=sim.total_bytes_transferred,
-            telemetry=registry_from_run(sim, tracer, registry).snapshot(),
+            telemetry=registry_from_run(
+                sim, tracer, self.registry
+            ).snapshot(),
         )
 
-    with planner.traced(tracer):
-        while True:
-            now = sim.now
-            injector.announce_until(now)
-            if faults.is_dead(requestor, now):
-                return failed(f"requestor {requestor} crashed")
-            alive = [
-                node for node in candidates
-                if not faults.is_dead(node, now)
-                and not faults.chunk_unreadable(node, now)
-            ]
-            if len(alive) < k:
-                return failed(
-                    f"only {len(alive)} of {len(candidates)} helpers "
-                    f"survive, need k={k}"
-                )
-            # Prefer helpers that are not frozen right now, when enough
-            # healthy ones remain — a plan through a stalled node would
-            # only stall again.
-            stalled = faults.stalled_nodes(now)
-            usable = [node for node in alive if node not in stalled]
-            if len(usable) < k:
-                usable = alive
-            snapshot = BandwidthSnapshot.from_network(net, now)
-            try:
-                # Scoped so the planner.plan instant inherits the repair
-                # span as its causal parent.
-                with tracer.scope(task_span):
-                    plan = planner.plan(snapshot, requestor, usable, k)
-            except PlanningError as error:
-                return failed(f"planning failed: {error}")
-            planning_total += plan.planning_seconds
-            if attempts > 0:
-                registry.counter("replans").inc()
-                if tracer.enabled:
-                    tracer.instant(
-                        "repair.replan", t=now, track="executor",
-                        parent_id=task_span,
-                        attempt=attempts + 1, scheme=plan.scheme,
-                        helpers=sorted(plan.helpers), bmin=plan.bmin,
-                    )
-            attempts += 1
-            if not plan.is_pipelined:
-                raise PlanningError(
-                    "fault-aware execution supports pipelined plans only"
-                )
-            tree = plan.tree
-            handle = sim.submit_pipelined(
-                tree.edges(),
-                remaining_bytes_per_edge(config, tree.depth(), watermark),
-                label=f"{plan.scheme}-a{attempts}",
-                parent_id=task_span,
-                # A retried / journal-resumed attempt follows from the
-                # flow it replaces.
-                links=(last_flow_span,) if last_flow_span is not None
-                else (),
-                meta={
-                    "bmin": plan.bmin, "attempt": attempts,
-                    "start_slice": watermark,
-                } if task_span is not None else None,
-            )
-            last_flow_span = sim.task_span(handle)
-            tree_nodes = {tree.root, *tree.helpers}
-            if journal is not None:
-                journal.append(
-                    "attempt", t=now, attempt=attempts, scheme=plan.scheme,
-                    helpers=sorted(plan.helpers), watermark=watermark,
-                    bmin=plan.bmin,
-                )
-            monitor = (
-                HealthMonitor(health, sim, handle, plan, snapshot, tree_nodes)
-                if health is not None and hedges < health.max_hedges
-                else None
-            )
-            failure, adopted, launched = _drive_attempt_hedged(
-                sim, handle, plan, tree_nodes, faults, policy, monitor,
-                planner, net, requestor, usable, k, config, watermark,
-                attempts, tracer, registry, journal, task_span=task_span,
-            )
-            hedges += launched
-            injector.announce_until(sim.now)
-            if failure is None:
-                if adopted is not None:
-                    if adopted.start_slice > watermark:
-                        segments.append((plan, watermark))
-                    segments.append((adopted.plan, adopted.start_slice))
-                    planning_total += adopted.plan.planning_seconds
-                    plan = adopted.plan
-                elif resilient:
-                    segments.append((plan, watermark))
-                transfer = (
-                    sim.now - start_time + pipeline_overhead_seconds(config)
-                )
-                if tracer.enabled:
-                    _trace_fill(
-                        sim, config, finish=sim.now,
-                        task_span=task_span, task_track=task_track,
-                        flow_span=adopted.span if adopted is not None
-                        else last_flow_span,
-                    )
-                    tracer.end(
-                        "repair.task", t=start_time + transfer,
-                        span_id=task_span, track=task_track,
-                        transfer_seconds=transfer,
-                        attempts=attempts, hedges=hedges,
-                    )
-                registry.gauge("planner_seconds").set(planning_total)
-                registry.histogram("task_seconds").observe(transfer)
-                if journal is not None:
-                    journal.append(
-                        "task_done", t=sim.now, scheme=plan.scheme,
-                        attempts=attempts, hedges=hedges,
-                    )
-                return RepairResult(
-                    scheme=plan.scheme,
-                    planning_seconds=planning_total,
-                    transfer_seconds=transfer,
-                    bmin=plan.bmin,
-                    plan=plan,
-                    bytes_transferred=sim.total_bytes_transferred,
-                    telemetry=registry_from_run(
-                        sim, tracer, registry
-                    ).snapshot(),
-                    attempts=attempts,
-                    segments=segments,
-                    hedges=hedges,
-                )
-            # Detection latency: the failure is noticed one timeout after
-            # it happened (or immediately for a stall, whose detection
-            # already waited the timeout inside the drive loop).
-            if failure.kind in ("crash", "readerr"):
-                sim.advance_to(
-                    max(sim.now, failure.time + policy.detection_timeout)
-                )
-            registry.counter("fault_detections").inc()
+    # ------------------------------------------------------------------
+    # Driving one attempt
+    # ------------------------------------------------------------------
+    def drive(
+        self,
+        handle: TaskHandle,
+        plan: RepairPlan,
+        tree_nodes: set[int],
+        monitor: HealthMonitor | None,
+        usable: Sequence[int],
+        watermark: int,
+    ) -> tuple[_Failure | None, _Hedge | None, int]:
+        """Advance the simulation until ``handle`` finishes or fails.
+
+        Every clock movement goes through the foreground engine when one
+        is attached, and the governor retunes the attempt's flows at its
+        decision interval.  Under a fault plan, failure means: a tree
+        node died or lost its chunk, or the task's rate sat at zero for
+        ``detection_timeout`` (stalled helper, collapsed link).  The loop
+        bounds every advance by the next fault event so a crash can never
+        strand the fluid model in a zero-rate stuck state.
+
+        With a ``monitor`` the attempt also hedges gray failures: while
+        the primary flow runs, ``monitor`` checks its relative progress
+        on the simulated-time grid.  On a straggler verdict a *hedge* —
+        an alternate tree over the non-culprit survivors, fetching only
+        the remaining slice range — is submitted under the ``hedge``
+        traffic class and raced against the primary; whichever finishes
+        first wins, the loser is cancelled (its bytes stay accounted in
+        the ``hedge`` bucket).  With ``monitor=None`` no hedge ever
+        launches.  Returns ``(failure, adopted_hedge, hedges_launched)``;
+        ``failure`` is ``None`` on completion.
+        """
+        sim, faults, tracer = self.sim, self.faults, self.tracer
+        registry, journal, task_span = self.registry, self.journal, self.span
+        foreground, governor = self.foreground, self.governor
+        config, requestor, k = self.config, self.requestor, self.k
+        stalled_since: float | None = None
+        hedge: _Hedge | None = None
+        launched = 0
+
+        def drop_hedge(reason: str) -> None:
+            nonlocal hedge
+            if hedge is None or hedge.handle.done:
+                hedge = None
+                return
+            remaining = sim.cancel_task(hedge.handle)
+            registry.counter("hedges_cancelled").inc()
+            registry.counter("hedge_events", kind="cancel").inc()
             if tracer.enabled:
                 tracer.instant(
-                    "repair.detect", t=sim.now, track="executor",
+                    "hedge.cancel", t=sim.now, track="executor",
                     parent_id=task_span,
-                    kind=failure.kind, nodes=failure.nodes,
-                    attempt=attempts,
+                    task=handle.task_id, hedge_task=hedge.handle.task_id,
+                    reason=reason, bytes_remaining=remaining,
                 )
-            if resilient:
-                # Advance the slice watermark past what this attempt
-                # verifiably delivered; the next attempt resumes there.
-                # A read error yields garbage bytes for the attempt's whole
-                # range, so it contributes nothing (earlier attempts'
-                # verified segments stay good).
-                if failure.kind != "readerr" and not handle.done:
-                    progress = sim.task_progress(handle)
-                    attempt_slices = config.slices - watermark
-                    verified = max(
-                        0,
-                        int(progress * attempt_slices) - (tree.depth() - 1),
+            if journal is not None:
+                journal.append(
+                    "hedge_cancel", t=sim.now, task=handle.task_id,
+                    hedge_task=hedge.handle.task_id, reason=reason,
+                )
+            hedge = None
+
+        def launch_hedge(verdict) -> _Hedge | None:
+            culprits = set(verdict.nodes)
+            alternates = [n for n in usable if n not in culprits]
+            if requestor in culprits or len(alternates) < k:
+                return None
+            snapshot = BandwidthSnapshot.from_network(self.net, sim.now)
+            try:
+                hedge_plan = self.planner.plan(
+                    snapshot, requestor, alternates, k
+                )
+            except PlanningError:
+                return None
+            start_slice = verified_watermark(
+                config, plan.tree.depth(), watermark,
+                sim.task_progress(handle),
+            )
+            hedge_tree = hedge_plan.tree
+            primary_span = sim.task_span(handle)
+            hedge_handle = sim.submit_pipelined(
+                hedge_tree.edges(),
+                remaining_bytes_per_edge(
+                    config, hedge_tree.depth(), start_slice
+                ),
+                label=f"{hedge_plan.scheme}-h{self.attempts}",
+                kind="hedge",
+                parent_id=task_span,
+                # The hedge races the primary it follows from.
+                links=(primary_span,) if primary_span is not None else (),
+                meta={
+                    "bmin": hedge_plan.bmin, "start_slice": start_slice,
+                    "hedge_of": handle.task_id,
+                } if task_span is not None else None,
+            )
+            registry.counter("hedges_launched").inc()
+            registry.counter("hedge_events", kind="launch").inc()
+            if tracer.enabled:
+                tracer.instant(
+                    "hedge.launch", t=sim.now, track="executor",
+                    parent_id=task_span,
+                    task=handle.task_id, hedge_task=hedge_handle.task_id,
+                    start_slice=start_slice,
+                    helpers=sorted(hedge_plan.helpers),
+                    excluded=sorted(culprits),
+                )
+            if journal is not None:
+                journal.append(
+                    "hedge_launch", t=sim.now, task=handle.task_id,
+                    hedge_task=hedge_handle.task_id, start_slice=start_slice,
+                )
+            return _Hedge(
+                handle=hedge_handle,
+                plan=hedge_plan,
+                start_slice=start_slice,
+                tree_nodes=frozenset({hedge_tree.root, *hedge_tree.helpers}),
+                span=sim.task_span(hedge_handle),
+            )
+
+        while True:
+            if handle.done:
+                drop_hedge("primary_won")
+                return None, None, launched
+            if hedge is not None and hedge.handle.done:
+                adopted = hedge
+                sim.cancel_task(handle)
+                registry.counter("flows_cancelled").inc()
+                registry.counter("hedges_adopted").inc()
+                registry.counter("hedge_events", kind="adopt").inc()
+                if tracer.enabled:
+                    tracer.instant(
+                        "hedge.adopt", t=sim.now, track="executor",
+                        parent_id=task_span,
+                        task=handle.task_id,
+                        hedge_task=adopted.handle.task_id,
+                        start_slice=adopted.start_slice,
                     )
-                    if verified > 0:
-                        segments.append((plan, watermark))
-                        watermark = min(
-                            watermark + verified, config.slices - 1
+                    if adopted.span is not None and task_span is not None:
+                        # Late causal edge: the repair's completion now
+                        # follows from the adopted hedge, not the primary.
+                        tracer.link(
+                            adopted.span, task_span, t=sim.now,
+                            track="executor", reason="hedge_adopt",
                         )
                 if journal is not None:
                     journal.append(
-                        "attempt_failed", t=sim.now, attempt=attempts,
-                        failure=failure.kind, watermark=watermark,
-                        bytes_transferred=sim.total_bytes_transferred,
+                        "hedge_adopt", t=sim.now, task=handle.task_id,
+                        hedge_task=adopted.handle.task_id,
+                        start_slice=adopted.start_slice,
                     )
-            # A read error leaves link capacity intact, so the doomed flow
-            # may have "completed" (delivering garbage) inside the
-            # detection window — there is nothing left to cancel then, but
-            # the attempt still failed and must be re-planned.
-            if not handle.done:
-                sim.cancel_task(handle)
-                registry.counter("flows_cancelled").inc()
-            if attempts > policy.max_retries:
-                return failed(
-                    f"retry budget exhausted after {attempts} attempts "
-                    f"(last failure: {failure.kind})"
+                return None, adopted, launched
+            now = sim.now
+            bound = math.inf
+            if faults:
+                dead = sorted(n for n in tree_nodes if faults.is_dead(n, now))
+                bad = sorted(
+                    n for n in tree_nodes
+                    if faults.chunk_unreadable(n, now) and n not in dead
                 )
-            backoff = policy.backoff(attempts - 1)
-            registry.counter("retries").inc()
-            if tracer.enabled:
-                tracer.instant(
-                    "repair.retry", t=sim.now, track="executor",
-                    parent_id=task_span,
-                    attempt=attempts, backoff=backoff,
+                if hedge is not None and not (dead or bad):
+                    # A fault touching only the hedge tree drops the
+                    # hedge and lets the primary keep racing alone.
+                    hedge_hit = any(
+                        faults.is_dead(n, now)
+                        or faults.chunk_unreadable(n, now)
+                        for n in hedge.tree_nodes
+                    )
+                    if hedge_hit:
+                        drop_hedge("fault")
+                if dead or bad:
+                    drop_hedge("primary_fault")
+                    kind = "crash" if dead else "readerr"
+                    return _Failure(kind=kind, nodes=dead + bad, time=now), \
+                        None, launched
+                watched = (
+                    tree_nodes | hedge.tree_nodes if hedge is not None
+                    else tree_nodes
                 )
-                if backoff > 0:
-                    # Explicit backoff span so the wait shows up as
-                    # stall time on the repair's critical path.
-                    backoff_span = tracer.begin(
-                        "repair.backoff", t=sim.now, track=task_track,
-                        parent_id=task_span, attempt=attempts,
-                        seconds=backoff,
-                    )
-                    tracer.end(
-                        "repair.backoff", t=sim.now + backoff,
-                        span_id=backoff_span, track=task_track,
-                    )
-            if backoff > 0:
-                sim.advance_to(sim.now + backoff)
+                bound = min(
+                    faults.next_failure_affecting(watched, now),
+                    faults.next_change_after(now),
+                )
+            if self.faulted:
+                rate = sim.current_rate(handle)
+                if hedge is not None:
+                    rate += sim.current_rate(hedge.handle)
+                if rate <= 1e-12:
+                    if stalled_since is None:
+                        stalled_since = now
+                    deadline = stalled_since + self.policy.detection_timeout
+                    if now >= deadline:
+                        culprits = sorted(
+                            n for n in tree_nodes
+                            if faults.capacity_factor(n, "up", now) == 0.0
+                            or faults.capacity_factor(n, "down", now) == 0.0
+                        )
+                        drop_hedge("stall")
+                        return _Failure(
+                            kind="stall", nodes=culprits, time=now
+                        ), None, launched
+                    bound = min(bound, deadline)
+                else:
+                    stalled_since = None
+            if monitor is not None and hedge is None:
+                bound = min(bound, monitor.next_check)
+            if governor is not None:
+                handles = [handle] if hedge is None else [handle, hedge.handle]
+                _apply_governor(
+                    governor, foreground, sim, handles, registry, tracer
+                )
+                bound = min(bound, sim.now + governor.decision_interval)
+            try:
+                if foreground is None:
+                    sim.run_until_completion(max_time=bound)
+                else:
+                    foreground.run_until_repair_event(max_time=bound)
+            except SimulationError:
+                if not self.faulted:
+                    raise
+                drop_hedge("stuck")
+                return _Failure(kind="stuck", nodes=[], time=sim.now), None, \
+                    launched
+            if monitor is not None and hedge is None:
+                verdict = monitor.observe(self.net)
+                if verdict is not None:
+                    registry.counter("stragglers").inc()
+                    if tracer.enabled:
+                        tracer.instant(
+                            "health.straggler", t=sim.now, track="health",
+                            parent_id=task_span,
+                            task=handle.task_id, nodes=sorted(verdict.nodes),
+                            since=verdict.since, observed=verdict.observed,
+                            promised=verdict.promised,
+                        )
+                    if journal is not None:
+                        journal.append(
+                            "straggler", t=sim.now, task=handle.task_id,
+                            nodes=sorted(verdict.nodes), since=verdict.since,
+                        )
+                    hedge = launch_hedge(verdict)
+                    if hedge is not None:
+                        launched += 1

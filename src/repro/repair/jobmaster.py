@@ -38,7 +38,11 @@ from repro.network.topology import StarNetwork
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER
 from repro.repair.metrics import FullNodeResult, RepairFailed, RepairResult
-from repro.repair.pipeline import ExecutionConfig, remaining_bytes_per_edge
+from repro.repair.pipeline import (
+    ExecutionConfig,
+    remaining_bytes_per_edge,
+    verified_watermark,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -312,22 +316,14 @@ class _FaultDriver:
     ) -> None:
         """Checkpoint the doomed flight's verified slice progress.
 
-        Slices still inside the pipeline (one per tree level) have not
-        reached the requestor, so they are subtracted; a flight doomed
-        purely by corrupted reads (``readerr``) contributes nothing —
-        its delivered bytes cannot be trusted.
+        A flight doomed purely by corrupted reads (``readerr``)
+        contributes nothing — its delivered bytes cannot be trusted.
         """
         if lost and all(node in unreadable for node in lost):
             return
-        config = flight.config
-        progress = self.sim.task_progress(flight.handle)
-        attempt_slices = config.slices - flight.start_slice
-        verified = max(
-            0,
-            int(progress * attempt_slices) - (flight.plan.tree.depth() - 1),
-        )
-        watermark = min(
-            flight.start_slice + verified, config.slices - 1
+        watermark = verified_watermark(
+            flight.config, flight.plan.tree.depth(), flight.start_slice,
+            self.sim.task_progress(flight.handle),
         )
         if watermark <= 0:
             return

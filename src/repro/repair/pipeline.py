@@ -87,6 +87,22 @@ def remaining_bytes_per_edge(
     return remaining + (depth - 1) * config.slice_size
 
 
+def verified_watermark(
+    config: ExecutionConfig, depth: int, start_slice: int, progress: float
+) -> int:
+    """First slice not yet verified after a partly carried attempt.
+
+    An attempt that resumed at ``start_slice`` and carried ``progress``
+    (0..1) of its remaining slices has delivered that share of them,
+    less the ``depth - 1`` slices still inside its pipeline, which have
+    not reached the requestor.  Capped at the last slice, so the next
+    attempt always has a slice range to fetch.
+    """
+    attempt_slices = config.slices - start_slice
+    verified = max(0, int(progress * attempt_slices) - (depth - 1))
+    return min(start_slice + verified, config.slices - 1)
+
+
 def pipeline_overhead_seconds(config: ExecutionConfig) -> float:
     """Serial per-slice handling cost over the whole chunk."""
     return config.slices * config.per_slice_overhead

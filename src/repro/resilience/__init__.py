@@ -14,7 +14,8 @@ retry" into checkpointed, resumable repair:
   replayed idempotently (replaying twice adopts nothing twice).
 
 The executors consume these via their ``journal=`` / ``health=``
-parameters (:func:`repro.repair.repair_single_chunk_faulted`,
+parameters (:func:`repro.repair.repair_single_chunk`, whose one attempt
+loop serves fault-free and faulted repairs, and
 :func:`repro.repair.repair_full_node`).
 """
 
